@@ -332,10 +332,10 @@ let ablation () =
         (t "agg-2"))
     configs;
   (* hash join + overlap residual vs the dedicated sort-based interval join *)
-  (* execution backends and the join-order optimizer *)
-  printf "\nExecution backends and join ordering (seconds):\n";
-  let m_int = M.create ~backend:M.Interpreted ~db () in
-  let m_cmp = M.create ~backend:M.Compiled ~db () in
+  (* execution engines and the join-order optimizer *)
+  printf "\nExecution engines and join ordering (seconds):\n";
+  let m_vec = M.create ~engine:M.Vec ~db () in
+  let m_row = M.create ~engine:M.Row ~db () in
   let m_noopt = M.create ~optimize:false ~db () in
   let t tag m q =
     let p = M.prepare m (Q.lookup q Q.employee) in
@@ -344,12 +344,12 @@ let ablation () =
       (time_run (fun () -> M.run_prepared m p))
   in
   printf "  %-34s %10s %10s\n" "" "join-4" "agg-1";
-  printf "  %-34s %10.4f %10.4f\n" "interpreted, join reordering"
-    (t "interpreted" m_int "join-4")
-    (t "interpreted" m_int "agg-1");
-  printf "  %-34s %10.4f %10.4f\n" "compiled closures"
-    (t "compiled" m_cmp "join-4")
-    (t "compiled" m_cmp "agg-1");
+  printf "  %-34s %10.4f %10.4f\n" "vec engine, join reordering"
+    (t "vec" m_vec "join-4")
+    (t "vec" m_vec "agg-1");
+  printf "  %-34s %10.4f %10.4f\n" "row engine, join reordering"
+    (t "row" m_row "join-4")
+    (t "row" m_row "agg-1");
   printf "  %-34s %10.4f %10.4f\n%!" "no join reordering"
     (t "no-reorder" m_noopt "join-4")
     (t "no-reorder" m_noopt "agg-1");

@@ -214,18 +214,18 @@ let workload_queries = function
   | `Employee -> Tkr_workload.Queries.employee
   | `Tpch -> Tkr_workload.Queries.tpch
 
-(* --engine row|vec, shared by run, explain, serve and bench run: the
+(* --engine vec|row, shared by run, explain, serve and bench run: the
    vectorized engine is byte-identical to the row engine (the CI
    vec-differential job diffs the two), so the flag only changes speed *)
 let engine_arg =
   Arg.(
     value
-    & opt (enum [ ("row", M.Row); ("vec", M.Vec) ]) M.Row
+    & opt (enum [ ("vec", M.Vec); ("row", M.Row) ]) M.Vec
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "execution engine: $(b,row) (interpreted row-at-a-time, the \
-           default and the differential-testing oracle) or $(b,vec) \
-           (columnar batch-at-a-time); both produce byte-identical output")
+          "execution engine: $(b,vec) (columnar batch-at-a-time, the \
+           default) or $(b,row) (interpreted row-at-a-time, the \
+           differential-testing oracle); both produce byte-identical output")
 
 (* --index on|off, shared by run, explain, serve and bench run: interval
    indexes only change the access path (EXPLAIN's [access:] line), never
@@ -308,8 +308,9 @@ let run_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "worker domains for the temporal operators; 1 (the default) \
-             is the serial engine, and every value produces the same rows")
+            "worker domains for the row engine's temporal operators (the \
+             vec engine is serial); 1 (the default) is the serial engine, \
+             and every value produces the same rows")
   in
   let sql =
     Arg.(
@@ -387,8 +388,9 @@ let explain_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "worker domains; with --analyze the pooled operators report \
-             par_jobs/chunks/steals/merge_ns and per-domain attribution")
+            "worker domains for $(b,--engine row); with --analyze the pooled \
+             operators report par_jobs/chunks/steals/merge_ns and \
+             per-domain attribution")
   in
   let sql =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL")
@@ -737,7 +739,9 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"worker domains inside the engine (CPU parallelism per query)")
+          ~doc:
+            "worker domains inside the row engine (CPU parallelism per \
+             query; the vec engine is serial)")
   in
   let workers =
     Arg.(
@@ -1206,7 +1210,9 @@ let bench_suite ~scale ~runs ~jobs ~engine ~index :
   (* with --engine vec, a row-engine middleware over the same catalog
      provides the per-query reference timing behind [speedup_vs_row_x] *)
   let m_row =
-    match engine with M.Vec -> Some (M.create ~db ()) | M.Row -> None
+    match engine with
+    | M.Vec -> Some (M.create ~engine:M.Row ~db ())
+    | M.Row -> None
   in
   let jobs_counter = ("jobs", float_of_int jobs) in
   let measured ~suite ~name ?(counters = []) f =

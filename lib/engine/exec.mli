@@ -14,18 +14,6 @@ val project : Algebra.proj list -> Table.t -> Table.t
 val union : Table.t -> Table.t -> Table.t
 (** UNION ALL. @raise Invalid_argument on incompatible schemas. *)
 
-val except_all : Table.t -> Table.t -> Table.t
-(** Counting EXCEPT ALL: each right row cancels one matching left row. *)
-
-val nested_loop_join : Expr.t -> Table.t -> Table.t -> Table.t
-val hash_join :
-  ?sp:Tkr_obs.Trace.span ->
-  (int * int) list ->
-  Expr.t option ->
-  Table.t ->
-  Table.t ->
-  Table.t
-
 val join : ?sp:Tkr_obs.Trace.span -> Expr.t -> Table.t -> Table.t -> Table.t
 (** Strategy selection: hash join when equi-keys exist, else nested loop.
     The span (if any) records the chosen strategy and, for hash joins, the
@@ -39,8 +27,8 @@ val aggregate :
 val distinct : Table.t -> Table.t
 
 val op_label : Algebra.t -> string
-(** Trace span label of the root operator (shared with {!Compiled} so the
-    two backends produce comparable traces). *)
+(** Trace span label of the root operator (shared with {!Tkr_vec.Vexec}
+    so the two engines produce comparable traces). *)
 
 val index_select :
   ?sp:Tkr_obs.Trace.span -> Database.t -> Expr.t -> string -> Table.t option
@@ -49,19 +37,6 @@ val index_select :
     Byte-identical to [select pred (find db name)]: probe bounds are
     necessary conditions, candidates keep physical row order, and the
     full predicate is re-applied. *)
-
-val index_join :
-  ?sp:Tkr_obs.Trace.span ->
-  Database.t ->
-  Expr.t ->
-  Table.t ->
-  string ->
-  Table.t option
-(** Index nested-loop join against a stored period table on the right:
-    one interval probe per left row.  [None] when the conjuncts do not
-    sandwich the right period between left columns.  Byte-identical to
-    {!nested_loop_join} (callers must ensure the predicate has no
-    equi-keys, i.e. the nested-loop regime). *)
 
 val eval :
   ?obs:Tkr_obs.Trace.t ->

@@ -36,23 +36,18 @@ exception Rejected of Diagnostic.t list
 
 type t
 
-type backend = Interpreted | Compiled
-(** Execute plans by AST interpretation or compiled to OCaml closures
-    (faster for prepared statements run repeatedly). *)
-
 type engine = Row | Vec
-(** Row-at-a-time interpreted execution ({!Row}, the default and the
-    differential-testing oracle) or columnar batch-at-a-time execution
-    ({!Vec}, {!Tkr_vec.Vexec}).  The vectorized engine reproduces the row
-    engine's output byte-for-byte; it is serial, so a configured worker
-    pool is ignored while it is selected. *)
+(** Columnar batch-at-a-time execution ({!Vec}, {!Tkr_vec.Vexec}, the
+    default) or row-at-a-time interpreted execution ({!Row}, the
+    differential-testing oracle).  The vectorized engine reproduces the
+    row engine's output byte-for-byte; it is serial, so a configured
+    worker pool only applies under {!Row}. *)
 
 val create :
   ?options:Rewriter.options ->
   ?optimize:bool ->
   ?prune:bool ->
   ?index:bool ->
-  ?backend:backend ->
   ?engine:engine ->
   ?strict:bool ->
   ?parallelism:int ->
@@ -65,10 +60,11 @@ val create :
     subplans, provably-idempotent Distinct/Coalesce) — byte-identity
     preserving, so results are unchanged.  [strict] (--Werror, default
     false) makes the check phase reject statements on warnings too.
+    [engine] (default {!Vec}) selects the executor; {!Row} is the oracle.
     [parallelism] (default 1) > 1 creates a {!Tkr_par.Pool.t} of that many
-    domains on which the temporal operators run their sweeps; at 1 the
-    serial engine runs unchanged, and parallel plans produce byte-identical
-    rows either way. *)
+    domains on which the row engine's temporal operators run their sweeps;
+    at 1 the serial engine runs unchanged, and parallel plans produce
+    byte-identical rows either way. *)
 
 val database : t -> Database.t
 val set_options : t -> Rewriter.options -> unit
@@ -91,7 +87,6 @@ val set_index : t -> bool -> unit
     keep the flag they captured. *)
 
 val index_enabled : t -> bool
-val set_backend : t -> backend -> unit
 
 val set_engine : t -> engine -> unit
 (** Switch between row and vectorized execution (affects statements

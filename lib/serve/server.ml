@@ -436,8 +436,10 @@ let run_one srv (job : job) =
   in
   (* allocation attribution: words this domain allocates while the job
      runs.  Parallel operator segments allocate on pool domains and are
-     not counted — the ledger tracks the serial (worker-side) cost. *)
-  let gc0 = Gc.quick_stat () in
+     not counted — the ledger tracks the serial (worker-side) cost.
+     [Gc.counters] is exact between collections, unlike [quick_stat],
+     whose word counts only advance at a minor collection. *)
+  let minor0, _, major0 = Gc.counters () in
   (if Tel.enabled tel then
      match job.j_trace with
      | Some trace_id ->
@@ -451,13 +453,9 @@ let run_one srv (job : job) =
       Int64.to_int (Int64.div (Int64.sub (Clock.now_ns ()) job.j_enq_ns) 1000L)
     in
     let exec_us = max 0 (total_us - queue_us) in
-    let gc1 = Gc.quick_stat () in
-    let gc_minor_w =
-      int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words)
-    in
-    let gc_major_w =
-      int_of_float (gc1.Gc.major_words -. gc0.Gc.major_words)
-    in
+    let minor1, _, major1 = Gc.counters () in
+    let gc_minor_w = int_of_float (minor1 -. minor0) in
+    let gc_major_w = int_of_float (major1 -. major0) in
     Ledger.observe srv.ledger ~fp:o.o_fp ~stmt:req.Wire.stmt
       ~ok:(o.o_status = "ok") ~disposition:o.o_disposition ~queue_us ~exec_us
       ~total_us ~rows_out:o.o_rows_out ~gc_minor_w ~gc_major_w;

@@ -5,8 +5,9 @@
     and comparison forms run column-at-a-time over the unboxed
     representations; everything else degrades gracefully — first to a
     generic boxed column loop ({!Value} semantics applied cell-wise), and
-    for the row-oriented constructors ([LIKE], [IN], [CASE],
-    [GREATEST]/[LEAST]) to evaluating {!Expr.eval} on materialized rows —
+    for the row-oriented constructors ([LIKE], [CASE], [GREATEST]/[LEAST]
+    and [IN] over boxed or mixed-type values) to evaluating {!Expr.eval}
+    on materialized rows —
     so every path reproduces the row oracle's three-valued logic,
     int/float coercions, NULL-on-division-by-zero and error behaviour
     exactly. *)
@@ -47,6 +48,33 @@ let union_masks n (a : bool array option) (b : bool array option) :
   | None, None -> None
   | Some m, None | None, Some m -> Some m
   | Some x, Some y -> Some (Array.init n (fun i -> x.(i) || y.(i)))
+
+(* typed [IN] membership over an unboxed int or string column, [None]
+   unless every list element is NULL or of the column's type (then
+   [Value.sql_compare] cannot raise and reduces to equality).  Like
+   [Expr.eval]: NULL input is NULL, otherwise TRUE iff some element
+   equals it — NULL elements never match, so a miss is FALSE. *)
+let in_list n (c : Batch.col) (vs : Value.t list) : Batch.col option =
+  let non_null = List.filter (fun v -> not (Value.is_null v)) vs in
+  let typed get =
+    let items = List.filter_map get non_null in
+    if List.compare_lengths items non_null = 0 then Some (Array.of_list items)
+    else None
+  in
+  let member equal data items =
+    let k = Array.length items in
+    let rec mem x j = j < k && (equal x items.(j) || mem x (j + 1)) in
+    let out = Array.init n (fun i -> (not (null_at c i)) && mem data.(i) 0) in
+    { Batch.data = Batch.Bools out; nulls = c.Batch.nulls }
+  in
+  match c.Batch.data with
+  | Batch.Ints a ->
+      typed (function Value.Int v -> Some v | _ -> None)
+      |> Option.map (member Int.equal a)
+  | Batch.Strs a ->
+      typed (function Value.Str v -> Some v | _ -> None)
+      |> Option.map (member String.equal a)
+  | _ -> None
 
 let rec eval (b : Batch.t) (e : Expr.t) : Batch.col =
   let n = Batch.length b in
@@ -104,17 +132,27 @@ let rec eval (b : Batch.t) (e : Expr.t) : Batch.col =
             nulls = union_masks n ca.nulls cb.nulls;
           }
       | _ -> rowwise b e)
-  | Expr.Like _ | Expr.In_list _ | Expr.Case _ -> rowwise b e
+  | Expr.In_list (x, vs) -> (
+      let c = eval b x in
+      match in_list n c vs with Some r -> r | None -> rowwise b e)
+  | Expr.Like _ | Expr.Case _ -> rowwise b e
 
-(* row-at-a-time fallback for the rare constructors: materialize each
-   logical row and defer to the oracle's own evaluator *)
+(* row-at-a-time fallback for the rare constructors: materialize the
+   columns [e] references for each logical row (the others stay NULL —
+   [Expr.eval] never reads them, and the join residual view leaves them
+   unmaterialized) and defer to the oracle's own evaluator *)
 and rowwise (b : Batch.t) (e : Expr.t) : Batch.col =
   let n = Batch.length b in
+  let needed = Array.of_list (List.sort_uniq Int.compare (Expr.cols e)) in
+  (* [Expr.eval] does not retain its row, so one scratch row serves all *)
+  let row = Array.make (Array.length b.cols) Value.Null in
   {
     Batch.data =
       Batch.Boxed
         (Array.init n (fun li ->
-             Expr.eval (Batch.tuple_at b (Batch.phys b li)) e));
+             let i = Batch.phys b li in
+             Array.iter (fun j -> row.(j) <- Batch.value b.cols.(j) i) needed;
+             Expr.eval (Tuple.of_array row) e));
     nulls = None;
   }
 

@@ -27,7 +27,6 @@ open Tkr_relation
 module Table = Tkr_engine.Table
 module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
-module Idx_cache = Tkr_engine.Idx_cache
 module Trace = Tkr_obs.Trace
 
 type ctx = {
@@ -54,32 +53,19 @@ let select sp pred (b : Batch.t) : Batch.t =
   Trace.set_int sp "conjuncts" (List.length (Expr.conjuncts pred));
   Batch.with_sel b (Veval.filter b pred)
 
-(* Mirror of [Exec.index_select] at batch level: probe the interval index
-   for the candidate physical rows, install them as the batch's
-   selection, and let [Veval.filter] re-apply the full predicate over
-   that view.  The probe bounds are necessary conditions and candidates
-   come back in ascending physical order (= the identity selection's
-   order), so the surviving selection vector is exactly the one the full
-   filter would produce. *)
+(* Index-assisted selection over a stored period table.  The probe is
+   time-only, so a point lookup's candidates are every row alive at the
+   probe point; filtering them row by row ([Exec.index_select]) and
+   importing only the survivors keeps the per-lookup allocation at the
+   size of the answer instead of a columnar filter over all candidates.
+   Candidates come back in ascending physical order, so the result is the
+   rows, in the order, that the full-scan filter would select. *)
 let index_select (db : Database.t) sp pred (n : string) : Batch.t option =
-  let t = Database.find db n in
-  let arity = Schema.arity (Table.schema t) in
-  match Tkr_idx.Probe.bounds ~arity pred with
-  | None -> None
-  | Some { Tkr_idx.Probe.b_hi; e_lo } -> (
-      match Idx_cache.get db n with
-      | None -> None
-      | Some idx ->
-          let b = Batch.of_table t in
-          let cand = Tkr_idx.Interval.probe idx ~b_hi ~e_lo in
-          Tkr_idx.Stats.record_probes ~probes:1
-            ~candidates:(Array.length cand);
-          rows_in sp [ b ];
-          Trace.set_str sp "access" "index";
-          Trace.set_int sp "candidates" (Array.length cand);
-          Trace.set_int sp "conjuncts" (List.length (Expr.conjuncts pred));
-          let view = Batch.with_sel b cand in
-          Some (Batch.with_sel b (Veval.filter view pred)))
+  Exec.index_select ?sp db pred n
+  |> Option.map (fun res ->
+         Trace.set_int sp "rows_in" (Table.cardinality (Database.find db n));
+         Trace.set_int sp "conjuncts" (List.length (Expr.conjuncts pred));
+         Batch.of_rows (Table.schema res) (Table.rows res))
 
 (* ---- project ---- *)
 

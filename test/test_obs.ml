@@ -1,6 +1,6 @@
 (* Observability: metrics/span arithmetic, join-strategy reporting in
    EXPLAIN ANALYZE, and trace parity between the two execution backends
-   (interpreted AST walker vs compiled closures). *)
+   (row interpreter vs vectorized engine). *)
 
 module Metrics = Tkr_obs.Metrics
 module Trace = Tkr_obs.Trace
@@ -174,10 +174,10 @@ let test_explain_statement () =
           "split_agg"; "scan(works)"; "result: 7 rows"; "execute";
         ]
 
-(* --- (c) interpreted and compiled backends emit identical traces --- *)
+(* --- (c) row and vec engines trace the same operator tree --- *)
 
-let seed_m backend =
-  let m = M.create ~backend () in
+let seed_m engine =
+  let m = M.create ~engine () in
   Database.set_time_bounds (M.database m) ~tmin:0 ~tmax:24;
   ignore
     (M.execute_script m
@@ -192,20 +192,31 @@ let seed_m backend =
      |});
   m
 
-let trace_json m sql =
+(* operator labels, access paths and output cardinalities; the engines'
+   internal attributes (join strategy, batch counters) legitimately differ *)
+let trace_shape m sql =
   let p = M.prepare m sql in
-  (* frozen clock: every elapsed_ns is 0, so the JSON compares equal iff
-     the operator tree and every cardinality counter agree *)
-  let obs = Trace.create ~clock:Clock.frozen () in
+  let obs = Trace.create () in
   ignore (M.run_prepared ~obs m p);
-  String.concat "\n" (List.map Trace.to_json (Trace.roots obs))
+  let attr sp k =
+    match Trace.find_attr sp k with
+    | Some (Trace.Int n) -> string_of_int n
+    | Some (Trace.Str s) -> s
+    | _ -> "-"
+  in
+  let rec go sp =
+    Printf.sprintf "%s[%s,%s](%s)" (Trace.name sp) (attr sp "access")
+      (attr sp "rows_out")
+      (String.concat "," (List.map go (Trace.children sp)))
+  in
+  String.concat "\n" (List.map go (Trace.roots obs))
 
 let test_backend_trace_parity () =
-  let mi = seed_m M.Interpreted in
-  let mc = seed_m M.Compiled in
+  let mr = seed_m M.Row in
+  let mv = seed_m M.Vec in
   List.iter
     (fun sql ->
-      Alcotest.(check string) sql (trace_json mi sql) (trace_json mc sql))
+      Alcotest.(check string) sql (trace_shape mr sql) (trace_shape mv sql))
     [
       "SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')";
       "SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON \

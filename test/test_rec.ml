@@ -507,6 +507,35 @@ let test_console_zero_window () =
     (contains with_index
        "index     on    built 2   rebuilds 1   probes 40   candidates 120")
 
+(* per-request allocation is read from exact counters: a tiny request
+   allocates far less than a minor heap, so a counter that only advances
+   at collections would read 0 for most of them (or a whole minor heap's
+   worth for the one that triggers a collection) *)
+let test_request_gc_words () =
+  let lines = ref [] in
+  let recorder = Record.create (Record.Fn (fun j -> lines := j :: !lines)) in
+  with_rec_server ~cache_mb:0 ~recorder (fun _m srv ->
+      let c = Client.connect ~port:(Server.port srv) () in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      for _ = 1 to 5 do
+        ignore (Client.run_exn c "SELECT x FROM kv")
+      done);
+  Record.close recorder;
+  let entries =
+    List.filter_map
+      (fun j -> try Some (Record.entry_of_json j) with Record.Format_error _ -> None)
+      !lines
+  in
+  check_int "every request recorded" 5 (List.length entries);
+  let bound = (Gc.get ()).Gc.minor_heap_size / 4 in
+  List.iter
+    (fun e ->
+      let w = e.Record.e_gc_minor_w in
+      if w <= 0 || w >= bound then
+        Alcotest.failf "request %d: %d minor words, want 0 < w < %d"
+          e.Record.e_req_id w bound)
+    entries
+
 let suite =
   ( "rec",
     [
@@ -522,6 +551,8 @@ let suite =
       Alcotest.test_case "e2e: capture and replay byte identity" `Quick
         test_capture_replay_byte_identity;
       qcheck_shuffled_replay;
+      Alcotest.test_case "e2e: per-request GC words are exact" `Quick
+        test_request_gc_words;
       Alcotest.test_case "e2e: LEDGER scrape and metrics families" `Quick
         test_ledger_scrape_and_metrics;
       Alcotest.test_case "top: zero-window frame" `Quick

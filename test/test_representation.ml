@@ -69,6 +69,50 @@ let gen_query : (Algebra.t * col_ty list) QCheck.Gen.t =
                 out_tys @ [ I ] )
           else return (Algebra.Project (projs, q), out_tys)
         in
+        (* an optional extra join conjunct over the joined columns: LIKE,
+           [NOT] IN (with NULL members) or CASE — the residual shapes the
+           vectorized engine evaluates outside its typed fast paths *)
+        let gen_residual tys =
+          let idx = List.mapi (fun i _ -> i) tys in
+          let strs = List.filter (fun i -> List.nth tys i = S) idx in
+          let str = map (fun v -> Expr.Const (Value.Str v)) (oneofl value_pool) in
+          let gen_like =
+            oneofl strs >>= fun k ->
+            oneofl [ "S%"; "%n%"; "_o_"; "A%"; "M_"; "%" ] >>= fun pat ->
+            return (Expr.Like (Expr.Col k, pat))
+          in
+          let gen_in =
+            oneofl idx >>= fun k ->
+            let elem =
+              match List.nth tys k with
+              | S -> map (fun v -> Value.Str v) (oneofl value_pool)
+              | I -> map (fun v -> Value.Int v) (int_range 0 3)
+            in
+            list_size (int_range 1 3) elem >>= fun vs ->
+            bool >>= fun with_null ->
+            bool >>= fun negate ->
+            let e = Expr.In_list (Expr.Col k, if with_null then vs @ [ Value.Null ] else vs) in
+            return (if negate then Expr.Not e else e)
+          in
+          let gen_case =
+            oneofl strs >>= fun k ->
+            oneofl strs >>= fun k' ->
+            str >>= fun v ->
+            let hit = Expr.Const (Value.Str "hit") in
+            return
+              (Expr.Cmp
+                 ( Expr.Eq,
+                   Expr.Case ([ (Expr.Cmp (Expr.Eq, Expr.Col k, v), hit) ], Some (Expr.Col k')),
+                   hit ))
+          in
+          frequency
+            [
+              (3, return None);
+              (1, map Option.some gen_like);
+              (1, map Option.some gen_in);
+              (1, map Option.some gen_case);
+            ]
+        in
         let gen_join =
           sub >>= fun (q1, tys1) ->
           sub >>= fun (q2, tys2) ->
@@ -80,10 +124,11 @@ let gen_query : (Algebra.t * col_ty list) QCheck.Gen.t =
           | _ ->
               oneofl s1 >>= fun i ->
               oneofl s2 >>= fun j ->
-              return
-                ( Algebra.Join
-                    (Expr.Cmp (Expr.Eq, Expr.Col i, Expr.Col (n1 + j)), q1, q2),
-                  tys1 @ tys2 )
+              let tys = tys1 @ tys2 in
+              gen_residual tys >>= fun extra ->
+              let key = Expr.Cmp (Expr.Eq, Expr.Col i, Expr.Col (n1 + j)) in
+              let p = match extra with None -> key | Some e -> Expr.And (key, e) in
+              return (Algebra.Join (p, q1, q2), tys)
         in
         let one_str_col (q, tys) =
           (* project to a single string column for union compatibility *)

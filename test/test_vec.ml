@@ -254,6 +254,15 @@ let test_null_heavy () =
        (Algebra.Select (Expr.Cmp (Expr.Gt, col 1, Expr.Const (Value.Int 0)), t)));
   check "IS NULL selects them (vec = row)" true
     (differential db (Algebra.Select (Expr.Is_null (col 0), t)));
+  (* typed IN: a NULL input is UNKNOWN, a NULL member never matches *)
+  let in_list vs = Expr.In_list (col 1, List.map (fun v -> Value.Int v) vs @ [ Value.Null ]) in
+  check "IN with NULLs (vec = row)" true
+    (differential db (Algebra.Select (in_list [ 1; 4 ], t)));
+  check "NOT IN with NULLs (vec = row)" true
+    (differential db (Algebra.Select (Expr.Not (in_list [ 4 ]), t)));
+  check "IN projected as a value (vec = row)" true
+    (differential db
+       (Algebra.Project ([ Algebra.proj (in_list [ 1 ]) "hit" ], t)));
   check "distinct with NULLs (vec = row)" true
     (differential db
        (Algebra.Distinct (Algebra.Project ([ Algebra.proj (col 0) "k" ], t))));
@@ -368,6 +377,60 @@ let test_middleware_engines () =
          (M.query mrow (List.hd e2e_queries))
          (M.query mvec (List.hd e2e_queries)))
 
+(* ---- workload queries: vec = row under every index × prune setting ----
+
+   The row engine with index and prune off is the oracle; every other
+   engine/index/prune combination must render the same bytes.  One case
+   per query, so a regression names the query. *)
+
+module Q = Tkr_workload.Queries
+
+let workload_cases label suite db =
+  let settings =
+    List.concat_map
+      (fun engine ->
+        List.concat_map
+          (fun index -> List.map (fun prune -> (engine, index, prune)) [ true; false ])
+          [ true; false ])
+      [ M.Row; M.Vec ]
+  in
+  let ms =
+    lazy
+      (let db = Lazy.force db in
+       List.map
+         (fun (engine, index, prune) ->
+           ((engine, index, prune), M.create ~engine ~index ~prune ~db ()))
+         settings)
+  in
+  List.map
+    (fun (name, sql) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s %s: vec = row (index, prune on/off)" label name)
+        `Quick
+        (fun () ->
+          let ms = Lazy.force ms in
+          let oracle = M.query (List.assoc (M.Row, false, false) ms) sql in
+          List.iter
+            (fun ((engine, index, prune), m) ->
+              check
+                (Printf.sprintf "%s engine=%s index=%b prune=%b" name
+                   (match engine with M.Row -> "row" | M.Vec -> "vec")
+                   index prune)
+                true
+                (byte_identical oracle (M.query m sql)))
+            ms))
+    suite
+
+let workload_tests =
+  workload_cases "employee" Q.employee
+    (lazy
+      (Tkr_workload.Employees.generate
+         { (Tkr_workload.Employees.scaled 40) with tmax = 600 }))
+  @ workload_cases "tpch" Q.tpch
+      (lazy
+        (Tkr_workload.Tpcbih.generate
+           { Tkr_workload.Tpcbih.default with scale = 0.01 }))
+
 let suite =
   ( "vectorized engine (Tkr_vec)",
     [
@@ -392,4 +455,5 @@ let suite =
       prop_random_boundary;
       Alcotest.test_case "middleware: row vs vec end to end" `Quick
         test_middleware_engines;
-    ] )
+    ]
+    @ workload_tests )
