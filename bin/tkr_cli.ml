@@ -241,21 +241,19 @@ let index_arg =
            index probes instead of scans; $(b,on) (default) and $(b,off) \
            produce byte-identical output")
 
-let run data workload jobs engine index no_prune sql file explain stats
+let run data workload engine index no_prune sql file explain stats
     max_rows =
   (match (sql, file, workload) with
   | Some _, Some _, _ -> usage "provide at most one of -e SQL or -f FILE"
   | None, None, None -> usage "provide -e SQL, -f FILE or --workload NAME"
   | _ -> ());
   let m =
-    M.create ~parallelism:jobs ~engine ~index ~prune:(not no_prune)
-      ~db:(workload_db workload) ()
+    M.create ~engine ~index ~prune:(not no_prune) ~db:(workload_db workload) ()
   in
-  Fun.protect ~finally:(fun () -> M.shutdown m) @@ fun () ->
   (match data with Some dir -> load_dir m dir | None -> ());
   (* a built-in workload runs its whole query suite; the output is
-     identical at every --jobs (the CI determinism job diffs it
-     byte-for-byte across job counts) *)
+     identical on every engine, index and prune setting (the CI
+     determinism job diffs it byte-for-byte) *)
   (match workload with
   | None -> ()
   | Some w ->
@@ -301,16 +299,7 @@ let run_cmd =
       & info [ "workload" ] ~docv:"NAME"
           ~doc:
             "run a built-in query workload (employee or tpch) against its \
-             generated catalog; output is independent of --jobs")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "worker domains for the row engine's temporal operators (the \
-             vec engine is serial); 1 (the default) is the serial engine, \
-             and every value produces the same rows")
+             generated catalog")
   in
   let sql =
     Arg.(
@@ -354,20 +343,17 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"Execute SQL (including SEQ VT snapshot queries) against CSV data")
     Term.(
-      const (fun a b c d e f g h i j k ->
-          guarded (fun () -> run a b c d e f g h i j k))
-      $ data $ workload $ jobs $ engine_arg $ index_arg $ no_prune $ sql
+      const (fun a b c d e f g h i j ->
+          guarded (fun () -> run a b c d e f g h i j))
+      $ data $ workload $ engine_arg $ index_arg $ no_prune $ sql
       $ file $ explain $ stats $ max_rows)
 
 (* --- explain --- *)
 
-let explain data analyze jobs engine index no_prune sql =
-  let m =
-    M.create ~parallelism:jobs ~engine ~index ~prune:(not no_prune) ()
-  in
+let explain data analyze engine index no_prune sql =
+  let m = M.create ~engine ~index ~prune:(not no_prune) () in
   (match data with Some dir -> load_dir m dir | None -> ());
-  print_endline (if analyze then M.explain_analyze m sql else M.explain m sql);
-  M.shutdown m
+  print_endline (if analyze then M.explain_analyze m sql else M.explain m sql)
 
 let explain_cmd =
   let data =
@@ -383,15 +369,6 @@ let explain_cmd =
           ~doc:"execute the query and annotate every operator with rows \
                 in/out, internals and elapsed time")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "worker domains for $(b,--engine row); with --analyze the pooled \
-             operators report par_jobs/chunks/steals/merge_ns and \
-             per-domain attribution")
-  in
   let sql =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL")
   in
@@ -406,8 +383,8 @@ let explain_cmd =
        ~doc:"Show the optimized, rewritten plan of a query with the \
              abstract interpreter's inferred per-operator facts")
     Term.(
-      const (fun a b c d e f g -> guarded (fun () -> explain a b c d e f g))
-      $ data $ analyze $ jobs $ engine_arg $ index_arg $ no_prune $ sql)
+      const (fun a b c d e f -> guarded (fun () -> explain a b c d e f))
+      $ data $ analyze $ engine_arg $ index_arg $ no_prune $ sql)
 
 (* --- lint --- *)
 
@@ -617,12 +594,9 @@ let workload_name = function
   | Some `Tpch -> Some "tpch"
   | None -> None
 
-let serve data workload host port max_sessions queue_depth cache_mb jobs
-    engine index workers metrics_out log log_rate slow_ms record =
-  let m =
-    M.create ~parallelism:jobs ~engine ~index ~db:(workload_db workload) ()
-  in
-  Fun.protect ~finally:(fun () -> M.shutdown m) @@ fun () ->
+let serve data workload host port max_sessions queue_depth cache_mb engine
+    index workers metrics_out log log_rate slow_ms record =
+  let m = M.create ~engine ~index ~db:(workload_db workload) () in
   (match data with Some dir -> load_dir m dir | None -> ());
   (* the JSONL event log: a file path, "stderr", or off entirely *)
   let tel, tel_oc =
@@ -653,8 +627,8 @@ let serve data workload host port max_sessions queue_depth cache_mb jobs
   let srv = Server.start ~config ~tel ~recorder m in
   Printf.printf
     "tkr_serve listening on %s:%d (sessions %d, queue %d, cache %d MiB, \
-     workers %d, jobs %d%s%s)\n%!"
-    host (Server.port srv) max_sessions queue_depth cache_mb workers jobs
+     workers %d%s%s)\n%!"
+    host (Server.port srv) max_sessions queue_depth cache_mb workers
     (match log with Some dst -> ", log " ^ dst | None -> "")
     (match record with Some dst -> ", record " ^ dst | None -> "");
   (* SIGTERM/SIGINT request a graceful drain: accepted requests finish,
@@ -735,14 +709,6 @@ let serve_cmd =
             "result-cache byte budget in MiB; 0 disables the cache \
              (results are then always recomputed)")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "worker domains inside the row engine (CPU parallelism per \
-             query; the vec engine is serial)")
-  in
   let workers =
     Arg.(
       value & opt int 8
@@ -808,10 +774,10 @@ let serve_cmd =
           result cache, live telemetry (STATS/METRICS/HEALTH/LEDGER, event \
           log), optional flight recording; SIGTERM/SIGINT drain gracefully")
     Term.(
-      const (fun a b c d e f g h i j k l m n o p ->
-          guarded (fun () -> serve a b c d e f g h i j k l m n o p))
+      const (fun a b c d e f g h i j k l m n o ->
+          guarded (fun () -> serve a b c d e f g h i j k l m n o))
       $ data $ workload $ host_arg $ port_arg $ max_sessions $ queue_depth
-      $ cache_mb $ jobs $ engine_arg $ index_arg $ workers $ metrics_out
+      $ cache_mb $ engine_arg $ index_arg $ workers $ metrics_out
       $ log $ log_rate $ slow_ms $ record)
 
 (* --- replay --- *)
@@ -833,7 +799,7 @@ let shorten_stmt s =
    replay engine and the server's FIFO guarantee, and every response is
    pinned by the (plan fingerprint, table versions, epoch) key the
    recording carries — so the recorded digests must reproduce. *)
-let replay_pass ~data ~workload ~cache_mb ~jobs ~paced path =
+let replay_pass ~data ~workload ~cache_mb ~paced path =
   let header, entries = Record.read_file path in
   let wl =
     match workload with
@@ -842,8 +808,7 @@ let replay_pass ~data ~workload ~cache_mb ~jobs ~paced path =
   in
   if wl = None && data = None then
     usage "recording has no workload header: provide --workload or --data";
-  let m = M.create ~parallelism:jobs ~db:(workload_db wl) () in
-  Fun.protect ~finally:(fun () -> M.shutdown m) @@ fun () ->
+  let m = M.create ~db:(workload_db wl) () in
   (match data with Some dir -> load_dir m dir | None -> ());
   let sessions =
     List.length
@@ -866,11 +831,9 @@ let replay_pass ~data ~workload ~cache_mb ~jobs ~paced path =
   in
   (header, outcome, Server.cache_stats srv)
 
-let replay data workload cache_mb jobs paced fast show path =
+let replay data workload cache_mb paced fast show path =
   if paced && fast then usage "--paced excludes --as-fast-as-possible";
-  let _header, o, _stats =
-    replay_pass ~data ~workload ~cache_mb ~jobs ~paced path
-  in
+  let _header, o, _stats = replay_pass ~data ~workload ~cache_mb ~paced path in
   Printf.printf
     "replayed %d request(s) over %d session(s) in %.1f ms (%s)\n" o.Replay.total
     o.Replay.sessions
@@ -929,11 +892,6 @@ let replay_cache_mb_arg =
           "result-cache budget of the replay server; byte-identity must \
            hold at any setting, 0 included")
 
-let replay_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc:"engine worker domains")
-
 let replay_cmd =
   let paced =
     Arg.(
@@ -964,9 +922,9 @@ let replay_cmd =
           send order preserved — and byte-diff every response digest \
           against the recording; exits non-zero on any divergence")
     Term.(
-      const (fun a b c d e f g h -> guarded (fun () -> replay a b c d e f g h))
-      $ replay_data_arg $ replay_workload_arg $ replay_cache_mb_arg
-      $ replay_jobs_arg $ paced $ fast $ show $ replay_path_arg)
+      const (fun a b c d e f g -> guarded (fun () -> replay a b c d e f g))
+      $ replay_data_arg $ replay_workload_arg $ replay_cache_mb_arg $ paced
+      $ fast $ show $ replay_path_arg)
 
 (* --- connect --- *)
 
@@ -1189,24 +1147,17 @@ let top_cmd =
    shared Tkr_perf harness (median of --runs, GC counters included).  It
    is intentionally much smaller than bench/main.exe — small enough for
    CI smoke jobs — but written in the same canonical schema, so
-   [bench compare] works across any pair.
-
-   With --jobs N > 1 the middleware and the operator suites run on an
-   N-domain pool and a "par-scaling" suite is appended: each pooled
-   operator measured serially and on the pool, with the speedup recorded
-   as a [speedup_x] counter — the trajectory of parallel efficiency
-   across commits and job counts. *)
-let bench_suite ~scale ~runs ~jobs ~engine ~index :
+   [bench compare] works across any pair. *)
+let bench_suite ~scale ~runs ~engine ~index :
     Bench_result.result list * (string * Tkr_obs.Json.t) list =
   let module W = Tkr_workload.Employees in
   let module Q = Tkr_workload.Queries in
   let module Ops = Tkr_engine.Ops in
-  let module Pool = Tkr_par.Pool in
   let module Trace = Tkr_obs.Trace in
   let module Json = Tkr_obs.Json in
   let employees = max 20 (int_of_float (150. *. scale)) in
   let db = W.generate { (W.scaled employees) with W.tmax = 2000 } in
-  let m = M.create ~parallelism:jobs ~engine ~index ~db () in
+  let m = M.create ~engine ~index ~db () in
   (* with --engine vec, a row-engine middleware over the same catalog
      provides the per-query reference timing behind [speedup_vs_row_x] *)
   let m_row =
@@ -1214,17 +1165,15 @@ let bench_suite ~scale ~runs ~jobs ~engine ~index :
     | M.Vec -> Some (M.create ~engine:M.Row ~db ())
     | M.Row -> None
   in
-  let jobs_counter = ("jobs", float_of_int jobs) in
   let measured ~suite ~name ?(counters = []) f =
     let s = Perf_runner.measure ~runs f in
     Printf.printf "  %-24s %12.1f us/run\n%!"
       (suite ^ "/" ^ name)
       (s.Perf_runner.wall_ns /. 1e3);
     Bench_result.result ~suite ~name ~runs
-      ~counters:((jobs_counter :: counters) @ Perf_runner.gc_counters s)
+      ~counters:(counters @ Perf_runner.gc_counters s)
       s.Perf_runner.wall_ns
   in
-  Pool.with_pool ~jobs @@ fun pool ->
   let employee =
     List.map
       (fun (name, sql) ->
@@ -1253,8 +1202,7 @@ let bench_suite ~scale ~runs ~jobs ~engine ~index :
           | _ -> "");
         Bench_result.result ~suite:"employee" ~name ~runs
           ~counters:
-            (jobs_counter
-            :: ("rows_out", float_of_int rows)
+            (("rows_out", float_of_int rows)
             :: (speedup @ Perf_runner.gc_counters s))
           s.Perf_runner.wall_ns)
       Q.employee
@@ -1266,7 +1214,7 @@ let bench_suite ~scale ~runs ~jobs ~engine ~index :
         let t = W.coalesce_input ~n ~seed:11 ~tmax:2000 in
         measured ~suite:"coalesce"
           ~name:(Printf.sprintf "coalesce-%d" n)
-          (fun () -> Ops.coalesce ?pool t))
+          (fun () -> Ops.coalesce t))
       [ 1_000; 10_000 ]
   in
   (* scaled interval-join and split-agg suites over the shared generator *)
@@ -1282,7 +1230,7 @@ let bench_suite ~scale ~runs ~jobs ~engine ~index :
         measured ~suite:"interval-join"
           ~name:(Printf.sprintf "overlap-join-%d" n)
           (fun () ->
-            Tkr_engine.Interval_join.overlap_join ?pool ~left_keys:[ 0 ]
+            Tkr_engine.Interval_join.overlap_join ~left_keys:[ 0 ]
               ~right_keys:[ 0 ] l r))
       [ 2_000; 8_000 ]
   in
@@ -1297,51 +1245,8 @@ let bench_suite ~scale ~runs ~jobs ~engine ~index :
         measured ~suite:"split-agg"
           ~name:(Printf.sprintf "split-agg-%d" n)
           (fun () ->
-            Ops.split_agg ?pool ~group:[ 0 ] ~aggs:split_agg_aggs ~gap:None t))
+            Ops.split_agg ~group:[ 0 ] ~aggs:split_agg_aggs ~gap:None t))
       [ 2_000; 8_000 ]
-  in
-  (* speedup-vs-jobs: serial vs pooled wall time of the same operator *)
-  let par_scaling =
-    match pool with
-    | None -> []
-    | Some pool ->
-        let n = max 500 (int_of_float (8_000. *. scale)) in
-        let jl, jr = join_inputs n in
-        let ct = W.coalesce_input ~n ~seed:11 ~tmax:2000 in
-        List.concat_map
-          (fun (name, serial, parallel) ->
-            let s0 = Perf_runner.measure ~runs serial in
-            let s1 = Perf_runner.measure ~runs parallel in
-            let speedup = s0.Perf_runner.wall_ns /. s1.Perf_runner.wall_ns in
-            Printf.printf "  par-scaling/%-12s jobs %d: %.2fx\n%!" name jobs
-              speedup;
-            [
-              Bench_result.result ~suite:"par-scaling" ~name:(name ^ "-serial")
-                ~runs
-                ~counters:[ ("jobs", 1.) ]
-                s0.Perf_runner.wall_ns;
-              Bench_result.result ~suite:"par-scaling" ~name ~runs
-                ~counters:[ jobs_counter; ("speedup_x", speedup) ]
-                s1.Perf_runner.wall_ns;
-            ])
-          [
-            ( "overlap-join",
-              (fun () ->
-                Tkr_engine.Interval_join.overlap_join ~left_keys:[ 0 ]
-                  ~right_keys:[ 0 ] jl jr),
-              fun () ->
-                Tkr_engine.Interval_join.overlap_join ~pool ~left_keys:[ 0 ]
-                  ~right_keys:[ 0 ] jl jr );
-            ( "coalesce",
-              (fun () -> Ops.coalesce ct),
-              fun () -> Ops.coalesce ~pool ct );
-            ( "split-agg",
-              (fun () ->
-                Ops.split_agg ~group:[ 0 ] ~aggs:split_agg_aggs ~gap:None ct),
-              fun () ->
-                Ops.split_agg ~pool ~group:[ 0 ] ~aggs:split_agg_aggs ~gap:None
-                  ct );
-          ]
   in
   (* AS OF point lookups over a scaled period table: the interval-index
      stab against the full-scan reference.  [speedup_vs_scan_x] is the
@@ -1354,41 +1259,35 @@ let bench_suite ~scale ~runs ~jobs ~engine ~index :
       (W.coalesce_input ~n ~seed:31 ~tmax:2000);
     let mi = M.create ~engine ~db:adb () in
     let ms = M.create ~engine ~index:false ~db:adb () in
-    let res =
-      List.map
-        (fun (name, sql) ->
-          let p = M.prepare mi sql in
-          let s = Perf_runner.measure ~runs (fun () -> M.run_prepared mi p) in
-          let ps = M.prepare ms sql in
-          let ss =
-            Perf_runner.measure ~runs (fun () -> M.run_prepared ms ps)
-          in
-          let speedup = ss.Perf_runner.wall_ns /. s.Perf_runner.wall_ns in
-          let rows = Table.cardinality (M.run_prepared mi p) in
-          Printf.printf "  %-24s %12.1f us/run  %8d rows  %5.2fx vs scan\n%!"
-            ("asof/" ^ name)
-            (s.Perf_runner.wall_ns /. 1e3)
-            rows speedup;
-          Bench_result.result ~suite:"asof" ~name ~runs
-            ~counters:
-              (jobs_counter
-              :: ("rows_out", float_of_int rows)
-              :: ("scan_ns_per_run", ss.Perf_runner.wall_ns)
-              :: ("speedup_vs_scan_x", speedup)
-              :: Perf_runner.gc_counters s)
-            s.Perf_runner.wall_ns)
-        [
-          ("stab-mid", "SEQ VT AS OF 1000 (SELECT emp_no FROM history)");
-          ("stab-early", "SEQ VT AS OF 13 (SELECT emp_no FROM history)");
-          (* an early stab so the O(n) scan — not the shared downstream
-             aggregation — is the dominant term being replaced *)
-          ( "stab-count",
-            "SEQ VT AS OF 13 (SELECT count(*) AS c FROM history)" );
-        ]
-    in
-    M.shutdown mi;
-    M.shutdown ms;
-    res
+    List.map
+      (fun (name, sql) ->
+        let p = M.prepare mi sql in
+        let s = Perf_runner.measure ~runs (fun () -> M.run_prepared mi p) in
+        let ps = M.prepare ms sql in
+        let ss =
+          Perf_runner.measure ~runs (fun () -> M.run_prepared ms ps)
+        in
+        let speedup = ss.Perf_runner.wall_ns /. s.Perf_runner.wall_ns in
+        let rows = Table.cardinality (M.run_prepared mi p) in
+        Printf.printf "  %-24s %12.1f us/run  %8d rows  %5.2fx vs scan\n%!"
+          ("asof/" ^ name)
+          (s.Perf_runner.wall_ns /. 1e3)
+          rows speedup;
+        Bench_result.result ~suite:"asof" ~name ~runs
+          ~counters:
+            (("rows_out", float_of_int rows)
+            :: ("scan_ns_per_run", ss.Perf_runner.wall_ns)
+            :: ("speedup_vs_scan_x", speedup)
+            :: Perf_runner.gc_counters s)
+          s.Perf_runner.wall_ns)
+      [
+        ("stab-mid", "SEQ VT AS OF 1000 (SELECT emp_no FROM history)");
+        ("stab-early", "SEQ VT AS OF 13 (SELECT emp_no FROM history)");
+        (* an early stab so the O(n) scan — not the shared downstream
+           aggregation — is the dominant term being replaced *)
+        ( "stab-count",
+          "SEQ VT AS OF 13 (SELECT count(*) AS c FROM history)" );
+      ]
   in
   (* one traced execution per employee query, so [bench export --folded]
      works on CLI-produced reports too *)
@@ -1407,17 +1306,15 @@ let bench_suite ~scale ~runs ~jobs ~engine ~index :
              ])
          Q.employee)
   in
-  M.shutdown m;
-  Option.iter M.shutdown m_row;
-  ( employee @ coalesce @ interval_join @ split_agg @ asof @ par_scaling,
+  ( employee @ coalesce @ interval_join @ split_agg @ asof,
     [ ("operator_traces", traces) ] )
 
-let bench_run out scale runs jobs engine index =
+let bench_run out scale runs engine index =
   let path = match out with Some p -> p | None -> Bench_result.default_filename () in
-  Printf.printf "quick bench suite (scale %.2f, %d runs, %d jobs, %s engine):\n%!"
-    scale runs jobs
+  Printf.printf "quick bench suite (scale %.2f, %d runs, %s engine):\n%!"
+    scale runs
     (match engine with M.Row -> "row" | M.Vec -> "vec");
-  let results, extra = bench_suite ~scale ~runs ~jobs ~engine ~index in
+  let results, extra = bench_suite ~scale ~runs ~engine ~index in
   let report = Bench_result.make ~extra ~source:"tkr_cli bench run" results in
   Bench_result.write path report;
   Printf.printf "wrote %s (%d results)\n" path (List.length results)
@@ -1484,22 +1381,13 @@ let bench_run_cmd =
       value & opt int 3
       & info [ "runs"; "r" ] ~docv:"N" ~doc:"timed samples per test (median)")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "worker domains; at N > 1 the temporal operators run on an \
-             N-domain pool and a par-scaling suite records the \
-             serial-vs-pooled speedup")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Run the quick bench suite and write the canonical JSON report")
     Term.(
-      const (fun a b c d e f -> guarded (fun () -> bench_run a b c d e f))
-      $ out $ scale $ runs $ jobs $ engine_arg $ index_arg)
+      const (fun a b c d e -> guarded (fun () -> bench_run a b c d e))
+      $ out $ scale $ runs $ engine_arg $ index_arg)
 
 let bench_compare_cmd =
   let base =
@@ -1598,14 +1486,13 @@ let timeslice_statements =
 (* one closed-loop pass: N clients x M requests against an in-process
    server; returns per-request latencies (us), total wall ns, cache
    stats, error count *)
-let serve_bench_pass ~scale ~connections ~requests ~jobs ~cache_mb =
+let serve_bench_pass ~scale ~connections ~requests ~cache_mb =
   let db =
     let module W = Tkr_workload.Employees in
     W.generate
       { (W.scaled (max 20 (int_of_float (600. *. scale)))) with W.tmax = 2000 }
   in
-  let m = M.create ~parallelism:jobs ~db () in
-  Fun.protect ~finally:(fun () -> M.shutdown m) @@ fun () ->
+  let m = M.create ~db () in
   let config =
     {
       Server.default_config with
@@ -1645,16 +1532,16 @@ let serve_bench_pass ~scale ~connections ~requests ~jobs ~cache_mb =
 
 let percentile = Perf_runner.percentile
 
-let bench_serve out append scale connections requests jobs cache_mb =
+let bench_serve out append scale connections requests cache_mb =
   Printf.printf
     "serve bench: %d clients x %d requests (%d distinct statements), scale \
-     %.2f, jobs %d, cache %d MiB vs off:\n%!"
+     %.2f, cache %d MiB vs off:\n%!"
     connections requests
     (List.length timeslice_statements)
-    scale jobs cache_mb;
+    scale cache_mb;
   let pass label cache_mb =
     let lat, total_ns, stats, errors =
-      serve_bench_pass ~scale ~connections ~requests ~jobs ~cache_mb
+      serve_bench_pass ~scale ~connections ~requests ~cache_mb
     in
     if errors > 0 then
       raise (Fail (4, Printf.sprintf "%s pass: %d request(s) failed" label errors));
@@ -1684,7 +1571,6 @@ let bench_serve out append scale connections requests jobs cache_mb =
         ([
            ("connections", float_of_int connections);
            ("requests", float_of_int (connections * requests));
-           ("jobs", float_of_int jobs);
            ("p50_us", percentile lat 0.50);
            ("p95_us", percentile lat 0.95);
            ("p99_us", percentile lat 0.99);
@@ -1756,11 +1642,6 @@ let bench_serve_cmd =
       value & opt int 60
       & info [ "requests"; "r" ] ~docv:"M" ~doc:"requests per client")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"engine worker domains")
-  in
   let cache_mb =
     Arg.(
       value & opt int 64
@@ -1774,9 +1655,8 @@ let bench_serve_cmd =
           timeslice-heavy repeated workload, cached vs uncached, \
           p50/p95/p99 latency, throughput and cache hit rate")
     Term.(
-      const (fun a b c d e f g ->
-          guarded (fun () -> bench_serve a b c d e f g))
-      $ out $ append $ scale $ connections $ requests $ jobs $ cache_mb)
+      const (fun a b c d e f -> guarded (fun () -> bench_serve a b c d e f))
+      $ out $ append $ scale $ connections $ requests $ cache_mb)
 
 (* --- bench replay --- *)
 
@@ -1784,9 +1664,9 @@ let bench_serve_cmd =
    in-process server and write the result in the canonical Perf schema,
    so recordings of real workloads join the BENCH_PR<n>.json trajectory
    and [bench compare] works on them *)
-let bench_replay out append data workload cache_mb jobs path =
+let bench_replay out append data workload cache_mb path =
   let _header, o, stats =
-    replay_pass ~data ~workload ~cache_mb ~jobs ~paced:false path
+    replay_pass ~data ~workload ~cache_mb ~paced:false path
   in
   if not (Replay.identical o) then
     raise
@@ -1825,7 +1705,6 @@ let bench_replay out append data workload cache_mb jobs path =
             ("matched", float_of_int o.Replay.matched);
             ("mismatches", float_of_int (List.length o.Replay.mismatches));
             ("cached", float_of_int o.Replay.cached);
-            ("jobs", float_of_int jobs);
             ("rps", rps);
             ("p50_us", percentile lat 0.50);
             ("p95_us", percentile lat 0.95);
@@ -1883,10 +1762,9 @@ let bench_replay_cmd =
           write latency/throughput counters in the canonical bench \
           schema, compatible with [bench compare]")
     Term.(
-      const (fun a b c d e f g ->
-          guarded (fun () -> bench_replay a b c d e f g))
+      const (fun a b c d e f -> guarded (fun () -> bench_replay a b c d e f))
       $ out $ append $ replay_data_arg $ replay_workload_arg
-      $ replay_cache_mb_arg $ replay_jobs_arg $ replay_path_arg)
+      $ replay_cache_mb_arg $ replay_path_arg)
 
 let bench_cmd =
   Cmd.group

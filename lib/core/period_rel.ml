@@ -53,11 +53,8 @@ struct
       (KR.empty (Krel.schema r))
 
   (** ENC_K (Def. 6.3): merge all snapshots into coalesced temporal
-      elements, one per tuple.  The per-tuple coalescing normalization
-      ([KT.of_raw]) is pure and independent across tuples; with [?pool]
-      it runs on the pool's domains, results merged back in the serial
-      fold order — the encoding is byte-identical either way. *)
-  let encode ?pool (snap : Snap.t) : t =
+      elements, one per tuple. *)
+  let encode (snap : Snap.t) : t =
     let domain = Snap.domain snap in
     let tmin = Domain.tmin domain in
     let table : (Tuple.t, (Interval.t * K.t) list ref) Hashtbl.t =
@@ -78,25 +75,10 @@ struct
           cell := (Interval.singleton t, k) :: !cell)
         (Snap.timeslice snap t)
     done;
-    match pool with
-    | None ->
-        Hashtbl.fold
-          (fun tuple cell acc -> R.add acc tuple (KT.of_raw !cell))
-          table
-          (R.empty (Snap.schema snap))
-    | Some pool ->
-        (* same per-tuple order as the serial fold, normalization on the
-           pool, merge in order *)
-        let entries =
-          List.rev (Hashtbl.fold (fun t c acc -> (t, !c) :: acc) table [])
-        in
-        let normalized, _stats =
-          Tkr_par.Pool.map_list pool (fun (t, raw) -> (t, KT.of_raw raw)) entries
-        in
-        List.fold_left
-          (fun acc (tuple, kt) -> R.add acc tuple kt)
-          (R.empty (Snap.schema snap))
-          normalized
+    Hashtbl.fold
+      (fun tuple cell acc -> R.add acc tuple (KT.of_raw !cell))
+      table
+      (R.empty (Snap.schema snap))
 
   (** ENC_K⁻¹: recover the snapshot K-relation via timeslices. *)
   let decode (r : t) : Snap.t =

@@ -288,8 +288,8 @@ let rows_in sp tables =
       Trace.set_int sp "rows_in"
         (List.fold_left (fun acc t -> acc + Table.cardinality t) 0 tables)
 
-let rec eval ?(obs = Trace.disabled) ?(use_index = false) ?pool
-    (db : Database.t) (q : Algebra.t) : Table.t =
+let rec eval ?(obs = Trace.disabled) ?(use_index = false) (db : Database.t)
+    (q : Algebra.t) : Table.t =
   Trace.with_span obs (op_label q) @@ fun sp ->
   let result =
     match q with
@@ -303,7 +303,7 @@ let rec eval ?(obs = Trace.disabled) ?(use_index = false) ?pool
         t
     | Select (p, q) -> (
         let scan () =
-          let t = eval ~obs ~use_index ?pool db q in
+          let t = eval ~obs ~use_index db q in
           rows_in sp [ t ];
           select p t
         in
@@ -318,11 +318,11 @@ let rec eval ?(obs = Trace.disabled) ?(use_index = false) ?pool
                 scan ())
         | _ -> scan ())
     | Project (projs, q) ->
-        let t = eval ~obs ~use_index ?pool db q in
+        let t = eval ~obs ~use_index db q in
         rows_in sp [ t ];
         project projs t
     | Join (p, l, r) -> (
-        let lt = eval ~obs ~use_index ?pool db l in
+        let lt = eval ~obs ~use_index db l in
         let indexed =
           match r with
           | Rel rn when use_index && Database.is_period db rn -> (
@@ -341,46 +341,46 @@ let rec eval ?(obs = Trace.disabled) ?(use_index = false) ?pool
             rows_in sp [ lt; rt ];
             res
         | None ->
-            let rt = eval ~obs ~use_index ?pool db r in
+            let rt = eval ~obs ~use_index db r in
             rows_in sp [ lt; rt ];
             join ?sp p lt rt)
     | Union (l, r) ->
-        let lt = eval ~obs ~use_index ?pool db l in
-        let rt = eval ~obs ~use_index ?pool db r in
+        let lt = eval ~obs ~use_index db l in
+        let rt = eval ~obs ~use_index db r in
         rows_in sp [ lt; rt ];
         union lt rt
     | Diff (l, r) ->
-        let lt = eval ~obs ~use_index ?pool db l in
-        let rt = eval ~obs ~use_index ?pool db r in
+        let lt = eval ~obs ~use_index db l in
+        let rt = eval ~obs ~use_index db r in
         rows_in sp [ lt; rt ];
         except_all lt rt
     | Agg (group, aggs, q) ->
-        let t = eval ~obs ~use_index ?pool db q in
+        let t = eval ~obs ~use_index db q in
         rows_in sp [ t ];
         aggregate group aggs t
     | Distinct q ->
-        let t = eval ~obs ~use_index ?pool db q in
+        let t = eval ~obs ~use_index db q in
         rows_in sp [ t ];
         distinct t
     | Coalesce q ->
-        let t = eval ~obs ~use_index ?pool db q in
+        let t = eval ~obs ~use_index db q in
         rows_in sp [ t ];
-        Ops.coalesce ?sp ?pool t
+        Ops.coalesce ?sp t
     | Split (g, l, r) ->
         (* avoid evaluating a shared subquery twice *)
         if l == r then (
-          let t = eval ~obs ~use_index ?pool db l in
+          let t = eval ~obs ~use_index db l in
           rows_in sp [ t ];
-          Ops.split ?sp ?pool g t t)
+          Ops.split ?sp g t t)
         else
-          let lt = eval ~obs ~use_index ?pool db l in
-          let rt = eval ~obs ~use_index ?pool db r in
+          let lt = eval ~obs ~use_index db l in
+          let rt = eval ~obs ~use_index db r in
           rows_in sp [ lt; rt ];
-          Ops.split ?sp ?pool g lt rt
+          Ops.split ?sp g lt rt
     | Split_agg sa ->
-        let t = eval ~obs ~use_index ?pool db sa.sa_child in
+        let t = eval ~obs ~use_index db sa.sa_child in
         rows_in sp [ t ];
-        Ops.split_agg ?sp ?pool ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap t
+        Ops.split_agg ?sp ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap t
   in
   (match sp with
   | None -> ()

@@ -41,16 +41,13 @@ val index_select :
 val eval :
   ?obs:Tkr_obs.Trace.t ->
   ?use_index:bool ->
-  ?pool:Tkr_par.Pool.t ->
   Database.t ->
   Algebra.t ->
   Table.t
 (** Evaluate a full plan.  [Split] with physically equal children
     evaluates the shared subplan once.  With an enabled [obs] collector,
     every operator reports a span carrying rows in/out and operator
-    internals (default: the disabled collector — no overhead).  [?pool]
-    parallelizes the temporal operators (coalesce/split/split_agg) with
-    byte-identical output; absent, the serial engine runs unchanged.
+    internals (default: the disabled collector — no overhead).
     [?use_index] (default off) lets selections and no-equi-key joins over
     stored period tables answer through the temporal interval index when
     their predicates are index-answerable; output is byte-identical

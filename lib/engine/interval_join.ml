@@ -6,22 +6,10 @@
     suggests integrating such operators with the rewriting (Section 10.5).
     This operator is that integration point: it produces exactly the same
     rows as [Exec.join] with an equality + overlap predicate and is
-    compared against it in the ablation benchmarks.
-
-    With a {!Tkr_par.Pool.t} the join parallelizes over time-range chunks:
-    the joint time span is partitioned into contiguous chunks, every row is
-    replicated into each chunk its period overlaps, and a pair is emitted
-    only by the chunk containing its overlap start [max(b1, b2)] — the
-    standard dedup rule that makes boundary duplication exact.  The chunk
-    count is a pure function of the input size (never of the pool size), so
-    parallel output is identical for every jobs >= 2; it is bag-equal (not
-    byte-equal) to the serial path, whose sweep emission order cannot be
-    reproduced by time partitioning. *)
+    compared against it in the ablation benchmarks. *)
 
 open Tkr_relation
 module Trace = Tkr_obs.Trace
-module Clock = Tkr_obs.Clock
-module Pool = Tkr_par.Pool
 
 let period_of_row = Ops.period_of_row
 
@@ -69,127 +57,34 @@ let sort_bucket rows =
     a;
   a
 
-(* Default time-chunk count for the parallel path: a pure function of the
-   input size — NEVER of the pool size — so output is identical at any
-   parallelism. *)
-let default_chunks ~total_rows = max 1 (min 32 (total_rows / 2048))
-
-(* The rows of a sorted bucket whose period overlaps [lo, hi). *)
-let filter_range (a : Tuple.t array) lo hi =
-  Array.of_seq
-    (Seq.filter
-       (fun row ->
-         let b, e = period_of_row row in
-         b < hi && e > lo)
-       (Array.to_seq a))
-
 (** [overlap_join ~left_keys ~right_keys l r] joins encoded tables on
     equality of the given key columns and interval overlap, returning the
     concatenation of the matching rows. *)
-let overlap_join ?sp ?pool ?chunks ~(left_keys : int list)
-    ~(right_keys : int list) (l : Table.t) (r : Table.t) : Table.t =
+let overlap_join ?sp ~(left_keys : int list) ~(right_keys : int list)
+    (l : Table.t) (r : Table.t) : Table.t =
   let out_schema = Schema.concat (Table.schema l) (Table.schema r) in
   let lh = bucketize left_keys l and rh = bucketize right_keys r in
-  let matched_buckets = ref 0 in
-  (* matched buckets, both sides begin-sorted, in hash-iteration order
-     (deterministic for a given input) *)
+  (* matched buckets, both sides begin-sorted, in reverse hash-iteration
+     order (deterministic for a given input) *)
   let matched = ref [] in
   Hashtbl.iter
     (fun key lrows ->
       match Hashtbl.find_opt rh key with
       | None -> ()
       | Some rrows ->
-          incr matched_buckets;
           matched := (sort_bucket lrows, sort_bucket rrows) :: !matched)
     lh;
-  let matched = Array.of_list !matched in
-  let set_common_attrs () =
-    Trace.set_int sp "buckets_left" (Hashtbl.length lh);
-    Trace.set_int sp "buckets_right" (Hashtbl.length rh);
-    Trace.set_int sp "buckets_matched" !matched_buckets
-  in
-  match pool with
-  | None ->
-      (* serial path: byte-identical to the pre-parallel engine *)
-      let buf = ref [] in
-      Array.iter
-        (fun (la, ra) ->
-          sweep_bucket (fun lr rr -> buf := Tuple.append lr rr :: !buf) la ra)
-        matched;
-      (match sp with
-      | None -> ()
-      | Some _ ->
-          Trace.set_str sp "strategy" "interval_sweep";
-          set_common_attrs ();
-          Trace.set_int sp "pairs_emitted" (List.length !buf));
-      Table.make out_schema !buf
-  | Some pool ->
-      if Array.length matched = 0 then (
-        (match sp with
-        | None -> ()
-        | Some _ ->
-            Trace.set_str sp "strategy" "interval_sweep_par";
-            set_common_attrs ();
-            Trace.set_int sp "pairs_emitted" 0);
-        Table.make out_schema [])
-      else begin
-        (* joint time span of the matched buckets *)
-        let tmin = ref max_int and tmax = ref min_int in
-        Array.iter
-          (fun (la, ra) ->
-            let scan a =
-              Array.iter
-                (fun row ->
-                  let b, e = period_of_row row in
-                  if b < !tmin then tmin := b;
-                  if e > !tmax then tmax := e)
-                a
-            in
-            scan la;
-            scan ra)
-          matched;
-        let total_rows = Table.cardinality l + Table.cardinality r in
-        let c =
-          match chunks with
-          | Some c -> max 1 c
-          | None -> default_chunks ~total_rows
-        in
-        let c = if !tmax <= !tmin then 1 else min c (!tmax - !tmin) in
-        let tmin = !tmin and tmax = !tmax in
-        let cut i = tmin + ((tmax - tmin) * i / c) in
-        (* chunk [lo, hi): rows replicated into every overlapping chunk,
-           a pair emitted only where its overlap start lands *)
-        let chunk_rows ci =
-          let lo = cut ci and hi = cut (ci + 1) in
-          let buf = ref [] in
-          if hi > lo then
-            Array.iter
-              (fun (la, ra) ->
-                let fl = filter_range la lo hi and fr = filter_range ra lo hi in
-                if Array.length fl > 0 && Array.length fr > 0 then
-                  sweep_bucket
-                    (fun lr rr ->
-                      let s =
-                        max (fst (period_of_row lr)) (fst (period_of_row rr))
-                      in
-                      if s >= lo && s < hi then
-                        buf := Tuple.append lr rr :: !buf)
-                    fl fr)
-              matched;
-          !buf
-        in
-        let parts, stats =
-          Pool.run pool (Array.init c (fun ci -> fun () -> chunk_rows ci))
-        in
-        let t0 = Clock.now_ns () in
-        let rows = List.concat (Array.to_list parts) in
-        let merge_ns = Int64.sub (Clock.now_ns ()) t0 in
-        (match sp with
-        | None -> ()
-        | Some _ ->
-            Trace.set_str sp "strategy" "interval_sweep_par";
-            set_common_attrs ();
-            Trace.set_int sp "pairs_emitted" (List.length rows);
-            Pool.record sp ~jobs:(Pool.jobs pool) { stats with merge_ns });
-        Table.make out_schema rows
-      end
+  let buf = ref [] in
+  List.iter
+    (fun (la, ra) ->
+      sweep_bucket (fun lr rr -> buf := Tuple.append lr rr :: !buf) la ra)
+    !matched;
+  (match sp with
+  | None -> ()
+  | Some _ ->
+      Trace.set_str sp "strategy" "interval_sweep";
+      Trace.set_int sp "buckets_left" (Hashtbl.length lh);
+      Trace.set_int sp "buckets_right" (Hashtbl.length rh);
+      Trace.set_int sp "buckets_matched" (List.length !matched);
+      Trace.set_int sp "pairs_emitted" (List.length !buf));
+  Table.make out_schema !buf

@@ -4,26 +4,12 @@
     integration point for native temporal join operators the paper
     identifies in Section 10.5 (DBX's merge join). *)
 
-
 val overlap_join :
   ?sp:Tkr_obs.Trace.span ->
-  ?pool:Tkr_par.Pool.t ->
-  ?chunks:int ->
   left_keys:int list ->
   right_keys:int list ->
   Table.t ->
   Table.t ->
   Table.t
 (** Join encoded tables on key equality and interval overlap, returning
-    concatenated rows.  NULL keys never match.
-
-    Without a pool, the serial sweep runs and the output is byte-identical
-    to the pre-parallel engine.  With [?pool], the joint time span is
-    partitioned into contiguous chunks ([?chunks] overrides the count,
-    which otherwise is a pure function of the input size, never of the
-    pool size); rows are replicated into every chunk their period
-    overlaps, and a pair is emitted only by the chunk containing its
-    overlap start [max(b1, b2)], so each pair appears exactly once.  The
-    parallel result is identical for every pool size and bag-equal to the
-    serial result (the serial sweep's emission order cannot be reproduced
-    under time partitioning). *)
+    concatenated rows.  NULL keys never match. *)

@@ -10,17 +10,10 @@
       maximal constant segments — O(n log n).
     - {!split} is the split operator N_G of Def. 8.3.
     - {!split_agg} is the fused, pre-aggregated split+aggregate of the
-      paper's optimized rewriting (Section 9).
-
-    Every operator takes an optional {!Tkr_par.Pool.t}.  Their sweeps are
-    independent per group (coalesce, split_agg) or per row (split), so
-    with a pool the groups/rows are mapped over the pool's domains and the
-    results merged back in the serial emission order — the output rows are
-    byte-identical to the serial path for any number of domains. *)
+      paper's optimized rewriting (Section 9). *)
 
 open Tkr_relation
 module Trace = Tkr_obs.Trace
-module Pool = Tkr_par.Pool
 
 let period_of_row row =
   let n = Tuple.arity row in
@@ -32,22 +25,10 @@ let data_of_row row =
   let n = Tuple.arity row in
   Tuple.project (List.init (n - 2) Fun.id) row
 
-(* Map [f] over [keys] preserving order, through the pool when one is
-   given and there is enough work to split; records the batch on the
-   span.  The shared read-only state ([f]'s captured hash tables) is
-   built before the call, so worker domains only read. *)
-let map_groups ?sp ?pool (f : 'a -> 'b) (keys : 'a array) : 'b array =
-  match pool with
-  | Some pool when Array.length keys > 1 && Pool.jobs pool > 1 ->
-      let results, stats = Pool.map_array pool f keys in
-      Pool.record sp ~jobs:(Pool.jobs pool) stats;
-      results
-  | _ -> Array.map f keys
-
 (** Multiset coalescing: for every distinct data prefix, compute the
     maximal intervals of constant multiplicity (counting open intervals)
     and emit that many duplicate rows per interval. *)
-let coalesce ?sp ?pool (t : Table.t) : Table.t =
+let coalesce ?sp (t : Table.t) : Table.t =
   let groups : (Tuple.t, (int * int) list ref) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
   Array.iter
@@ -98,9 +79,7 @@ let coalesce ?sp ?pool (t : Table.t) : Table.t =
     (match events with [] -> () | (t0, _) :: _ -> sweep t0 0 events);
     (List.rev !buf, !segments)
   in
-  let results =
-    map_groups ?sp ?pool group_rows (Array.of_list (List.rev !order))
-  in
+  let results = Array.map group_rows (Array.of_list (List.rev !order)) in
   let segments = Array.fold_left (fun acc (_, s) -> acc + s) 0 results in
   Trace.set_int sp "groups" (Hashtbl.length groups);
   Trace.set_int sp "endpoints" (2 * Table.cardinality t);
@@ -174,11 +153,9 @@ let split_with eps key_cols (t : Table.t) : Table.t =
 
 (** N_G(R1, R2) of Def. 8.3: split every R1 row at the endpoints of all
     rows of R1 ∪ R2 that agree with it on the group columns. *)
-let split ?sp ?pool group_cols (left : Table.t) (right : Table.t) : Table.t =
+let split ?sp group_cols (left : Table.t) (right : Table.t) : Table.t =
   let eps = endpoint_sets group_cols [ left; right ] in
-  let per_row =
-    map_groups ?sp ?pool (row_fragments eps group_cols) (Table.rows left)
-  in
+  let per_row = Array.map (row_fragments eps group_cols) (Table.rows left) in
   let fragments =
     Array.fold_left (fun acc l -> acc + List.length l) 0 per_row
   in
@@ -200,7 +177,7 @@ let split ?sp ?pool group_cols (left : Table.t) (right : Table.t) : Table.t =
     whole time domain produces a row, using the aggregate's value over the
     empty input when nothing covers the segment — the fix for the
     aggregation-gap bug. *)
-let split_agg ?sp ?pool ~(group : int list) ~(aggs : Algebra.agg_spec list)
+let split_agg ?sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
     ~(gap : (int * int) option) (child : Table.t) : Table.t =
   let child_schema = Table.schema child in
   let n_aggs = List.length aggs in
@@ -324,7 +301,7 @@ let split_agg ?sp ?pool ~(group : int list) ~(aggs : Algebra.agg_spec list)
     List.rev !buf
   in
   let per_group =
-    map_groups ?sp ?pool group_rows (Array.of_list (List.rev !group_order))
+    Array.map group_rows (Array.of_list (List.rev !group_order))
   in
   (match sp with
   | None -> ()

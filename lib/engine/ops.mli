@@ -6,13 +6,7 @@
       window-function implementation (Section 9);
     - {!split} — the split operator N_G of Def. 8.3;
     - {!split_agg} — the fused, pre-aggregating split+aggregate of the
-      optimized rewriting.
-
-    Each operator accepts an optional {!Tkr_par.Pool.t}: sweeps are
-    independent per group (coalesce, split_agg) or per row (split), so a
-    pool maps them over its domains and merges the results back in the
-    serial emission order — output rows are byte-identical to the serial
-    path for any pool size. *)
+      optimized rewriting. *)
 
 open Tkr_relation
 
@@ -23,8 +17,7 @@ val period_of_row : Tuple.t -> int * int
 val data_of_row : Tuple.t -> Tuple.t
 (** Everything but the trailing period. *)
 
-val coalesce :
-  ?sp:Tkr_obs.Trace.span -> ?pool:Tkr_par.Pool.t -> Table.t -> Table.t
+val coalesce : ?sp:Tkr_obs.Trace.span -> Table.t -> Table.t
 (** Emit, per data prefix, the maximal intervals of constant multiplicity,
     duplicated per multiplicity: the unique encoding of the input's
     snapshots. *)
@@ -44,19 +37,12 @@ val split_with :
   (Tuple.t, IS.t ref) Hashtbl.t -> int list -> Table.t -> Table.t
 (** Split every row at the endpoints its key maps to. *)
 
-val split :
-  ?sp:Tkr_obs.Trace.span ->
-  ?pool:Tkr_par.Pool.t ->
-  int list ->
-  Table.t ->
-  Table.t ->
-  Table.t
+val split : ?sp:Tkr_obs.Trace.span -> int list -> Table.t -> Table.t -> Table.t
 (** N_G(R1, R2): split every R1 row at the endpoints of R1 ∪ R2 rows
     agreeing on the group columns (Def. 8.3). *)
 
 val split_agg :
   ?sp:Tkr_obs.Trace.span ->
-  ?pool:Tkr_par.Pool.t ->
   group:int list ->
   aggs:Algebra.agg_spec list ->
   gap:(int * int) option ->

@@ -28,8 +28,6 @@ module Diagnostic = Tkr_check.Diagnostic
 module Check = Tkr_check.Check
 module Lint = Tkr_check.Lint
 module Absint = Tkr_check.Absint
-module Pool = Tkr_par.Pool
-module Rwlock = Tkr_par.Rwlock
 
 exception Error of Diagnostic.t
 
@@ -119,9 +117,6 @@ type t = {
       (** answer index-answerable period-table selections and joins
           through the temporal interval index ({!Tkr_idx}); output is
           byte-identical to the scan path, on by default *)
-  mutable pool : Pool.t option;
-      (** worker pool for the temporal operators; [None] = the serial
-          engine, whose output parallel plans reproduce byte-for-byte *)
   insert_order : (string, int list) Hashtbl.t;
       (** CREATE TABLE column order -> stored order (period cols last) *)
   totals : phase_stats;
@@ -144,10 +139,6 @@ type t = {
       (** bumped by every {!write_locked} section; together with
           {!Database.generation} it forms {!epoch}, the staleness signal
           for prepared statements cached outside the middleware *)
-  pool_lock : Mutex.t;
-      (** serializes pooled executions: a {!Pool.t} accepts one batch
-          submitter at a time, so prepared statements that captured a
-          pool run one by one (serial statements are unaffected) *)
   mutable epoch_hook : (int -> unit) option;
       (** observer notified with the new {!epoch} after every completed
           {!write_locked} section — the query server's invalidation
@@ -160,7 +151,7 @@ let locked mu f =
 
 let create ?(options = Rewriter.optimized) ?(optimize = true)
     ?(prune = true) ?(index = true) ?(engine = Vec)
-    ?(strict = false) ?(parallelism = 1) ?(db = Database.create ()) () =
+    ?(strict = false) ?(db = Database.create ()) () =
   {
     db;
     options;
@@ -169,14 +160,12 @@ let create ?(options = Rewriter.optimized) ?(optimize = true)
     strict;
     prune;
     index;
-    pool = (if parallelism > 1 then Some (Pool.create ~jobs:parallelism ()) else None);
     insert_order = Hashtbl.create 8;
     totals = fresh_stats ();
     metrics = Metrics.create ();
     lock = Mutex.create ();
     rw = Rwlock.create ();
     settings_epoch = Atomic.make 0;
-    pool_lock = Mutex.create ();
     epoch_hook = None;
   }
 
@@ -212,24 +201,6 @@ let engine m = m.engine
 let set_strict m b = write_locked m (fun () -> m.strict <- b)
 let strict m = m.strict
 
-let parallelism m =
-  read_locked m (fun () ->
-      match m.pool with Some p -> Pool.jobs p | None -> 1)
-
-(* statements prepared earlier keep the pool they captured; a shut-down
-   pool still executes batches correctly (the submitting domain drains
-   them alone), so replacing the pool degrades old statements to serial
-   execution instead of breaking them *)
-let set_parallelism m n =
-  write_locked m @@ fun () ->
-  (match m.pool with Some p -> Pool.shutdown p | None -> ());
-  m.pool <- (if n > 1 then Some (Pool.create ~jobs:n ()) else None)
-
-let shutdown m =
-  write_locked m @@ fun () ->
-  (match m.pool with Some p -> Pool.shutdown p | None -> ());
-  m.pool <- None
-
 let database m = m.db
 let set_options m options = write_locked m (fun () -> m.options <- options)
 let options m = m.options
@@ -256,7 +227,7 @@ let plain_catalog m : Analyzer.catalog =
 type prepared = {
   plan : Algebra.t;  (** ready to execute against the engine *)
   exec : Trace.t -> Database.t -> Table.t;
-      (** the plan bound to its engine, index flag and pool; applied to a
+      (** the plan bound to its engine and index flag; applied to a
           trace collector ({!Trace.disabled} when not
           observing) *)
   out_schema : Schema.t;  (** user-visible output schema *)
@@ -283,21 +254,14 @@ type prepared = {
       (** base tables the final plan reads, sorted and deduplicated —
           with {!Tkr_engine.Database.version} these form the dependency
           set of a snapshot-aware result cache entry *)
-  pooled : bool;
-      (** the exec closure captured a worker pool; pooled runs are
-          serialized on the middleware's pool lock *)
 }
 
 let make_exec m plan : Trace.t -> Database.t -> Table.t =
-  (* the pool and index flag are captured at prepare time, like the
-     engine *)
-  let pool = m.pool in
+  (* the index flag is captured at prepare time, like the engine *)
   let use_index = m.index in
   match m.engine with
-  | Vec ->
-      (* the vectorized engine is serial; the pool never applies *)
-      fun obs db -> Tkr_vec.Vexec.eval ~obs ~use_index db plan
-  | Row -> fun obs db -> Exec.eval ~obs ~use_index ?pool db plan
+  | Vec -> fun obs db -> Tkr_vec.Vexec.eval ~obs ~use_index db plan
+  | Row -> fun obs db -> Exec.eval ~obs ~use_index db plan
 
 (* time one preparation phase into a [phase_stats] cell *)
 let phase (set : int64 -> unit) (f : unit -> 'a) : 'a =
@@ -561,8 +525,7 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
             { plan; exec = make_exec m plan; out_schema; snapshot = true; as_of;
               order_by; limit; stats; diags;
               analysis = Absint.render env_phys plan; access;
-              tables = List.sort_uniq String.compare (collect_rels [] plan);
-              pooled = (m.engine = Row && Option.is_some m.pool) }
+              tables = List.sort_uniq String.compare (collect_rels [] plan) }
       | `Plain inner ->
           let analyzed =
             phase (fun ns -> stats.analyze_ns <- ns) @@ fun () ->
@@ -612,7 +575,6 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
               analysis = Absint.render env_plain plan;
               access;
               tables = List.sort_uniq String.compare (collect_rels [] plan);
-              pooled = (m.engine = Row && Option.is_some m.pool);
             })
   | _ -> err "TKR021" "not a query"
 
@@ -640,13 +602,7 @@ let snapshot_algebra m (sql : string) : Algebra.t * Schema.t =
 
 let run_prepared ?(obs = Trace.disabled) m (p : prepared) : Table.t =
   read_locked m @@ fun () ->
-  let exec () = p.exec obs m.db in
-  (* a pool accepts one batch submitter at a time: pooled statements
-     queue on the pool lock, serial ones run fully concurrently *)
-  let ns, result =
-    Clock.elapsed (fun () ->
-        if p.pooled then locked m.pool_lock exec else exec ())
-  in
+  let ns, result = Clock.elapsed (fun () -> p.exec obs m.db) in
   locked m.lock (fun () ->
       p.stats.runs <- p.stats.runs + 1;
       p.stats.execute_ns <- Int64.add p.stats.execute_ns ns;

@@ -15,10 +15,8 @@
     queries prepare and execute under the shared read side of an internal
     readers-writer lock, DDL/DML and settings changes take the exclusive
     write side, cumulative stats are mutex-guarded and the metrics
-    registry is itself thread-safe.  Statements whose plans captured a
-    worker pool serialize their executions on a pool lock (a
-    {!Tkr_par.Pool.t} accepts one batch submitter at a time); serial
-    statements run fully concurrently. *)
+    registry is itself thread-safe.  Executions of prepared statements
+    run fully concurrently. *)
 
 open Tkr_relation
 module Table = Tkr_engine.Table
@@ -40,8 +38,7 @@ type engine = Row | Vec
 (** Columnar batch-at-a-time execution ({!Vec}, {!Tkr_vec.Vexec}, the
     default) or row-at-a-time interpreted execution ({!Row}, the
     differential-testing oracle).  The vectorized engine reproduces the
-    row engine's output byte-for-byte; it is serial, so a configured
-    worker pool only applies under {!Row}. *)
+    row engine's output byte-for-byte. *)
 
 val create :
   ?options:Rewriter.options ->
@@ -50,7 +47,6 @@ val create :
   ?index:bool ->
   ?engine:engine ->
   ?strict:bool ->
-  ?parallelism:int ->
   ?db:Database.t ->
   unit ->
   t
@@ -60,11 +56,7 @@ val create :
     subplans, provably-idempotent Distinct/Coalesce) — byte-identity
     preserving, so results are unchanged.  [strict] (--Werror, default
     false) makes the check phase reject statements on warnings too.
-    [engine] (default {!Vec}) selects the executor; {!Row} is the oracle.
-    [parallelism] (default 1) > 1 creates a {!Tkr_par.Pool.t} of that many
-    domains on which the row engine's temporal operators run their sweeps;
-    at 1 the serial engine runs unchanged, and parallel plans produce
-    byte-identical rows either way. *)
+    [engine] (default {!Vec}) selects the executor; {!Row} is the oracle. *)
 
 val database : t -> Database.t
 val set_options : t -> Rewriter.options -> unit
@@ -99,19 +91,6 @@ val set_strict : t -> bool -> unit
 
 val strict : t -> bool
 val options : t -> Rewriter.options
-
-val parallelism : t -> int
-(** Pool size; 1 when running serially. *)
-
-val set_parallelism : t -> int -> unit
-(** Replace the worker pool ([n <= 1] removes it).  Statements prepared
-    earlier keep the pool they captured; a replaced pool is shut down, on
-    which already-prepared statements degrade gracefully to serial
-    execution. *)
-
-val shutdown : t -> unit
-(** Join the worker domains (no-op when serial).  The middleware stays
-    usable and reverts to serial execution. *)
 
 val read_locked : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the shared read side of the middleware's catalog
@@ -185,9 +164,6 @@ type prepared = {
       (** base tables the final plan reads, sorted and deduplicated —
           with {!Tkr_engine.Database.version} these form the dependency
           set of a snapshot-aware result cache entry *)
-  pooled : bool;
-      (** the exec closure captured a worker pool (executions serialize
-          on the middleware's pool lock) *)
 }
 (** A parsed, analyzed, statically checked and (for snapshot queries)
     rewritten statement, ready for repeated execution. *)

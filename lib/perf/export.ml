@@ -27,163 +27,46 @@ let stored_traces (rep : Bench_result.report) : (string * Trace.span list) list 
         items
   | _ -> []
 
-(* pool-parallelism attribution that [Tkr_par.Pool.record] stamped on
-   trace spans: summed counters per query, plus per-domain chunk counts
-   parsed back out of the [par_domains] string ("slot:chunks/busy-ms",
-   space-separated). *)
-type par_stats = {
-  ps_query : string;
-  ps_jobs : int;  (** widest fan-out seen on any span *)
-  ps_chunks : int;
-  ps_steals : int;
-  ps_merge_ns : int;
-  ps_domains : (int * int) list;  (** (slot, chunks), ascending slot *)
-}
-
-let domain_tokens s =
-  List.filter_map
-    (fun tok ->
-      match String.index_opt tok ':' with
-      | None -> None
-      | Some i -> (
-          let slot = int_of_string_opt (String.sub tok 0 i) in
-          let rest =
-            String.sub tok (i + 1) (String.length tok - i - 1)
-          in
-          let chunks =
-            match String.index_opt rest '/' with
-            | Some j -> int_of_string_opt (String.sub rest 0 j)
-            | None -> int_of_string_opt rest
-          in
-          match (slot, chunks) with
-          | Some slot, Some chunks -> Some (slot, chunks)
-          | _ -> None))
-    (String.split_on_char ' ' s)
-
-let par_stats (rep : Bench_result.report) : par_stats list =
-  let int_attr sp key =
-    match Trace.find_attr sp key with
-    | Some (Trace.Int i) -> i
-    | Some (Trace.Float f) -> int_of_float f
-    | _ -> 0
-  in
-  List.filter_map
-    (fun (query, spans) ->
-      let jobs = ref 0
-      and chunks = ref 0
-      and steals = ref 0
-      and merge_ns = ref 0 in
-      let domains : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (Trace.iter (fun sp ->
-             jobs := max !jobs (int_attr sp Trace.par_jobs);
-             chunks := !chunks + int_attr sp Trace.par_chunks;
-             steals := !steals + int_attr sp Trace.par_steals;
-             merge_ns := !merge_ns + int_attr sp Trace.par_merge_ns;
-             match Trace.find_attr sp Trace.par_domains with
-             | Some (Trace.Str s) ->
-                 List.iter
-                   (fun (slot, c) ->
-                     Hashtbl.replace domains slot
-                       (c
-                       + Option.value ~default:0
-                           (Hashtbl.find_opt domains slot)))
-                   (domain_tokens s)
-             | _ -> ()))
-        spans;
-      if !jobs = 0 && !chunks = 0 && !steals = 0 && !merge_ns = 0 then None
-      else
-        Some
-          {
-            ps_query = query;
-            ps_jobs = !jobs;
-            ps_chunks = !chunks;
-            ps_steals = !steals;
-            ps_merge_ns = !merge_ns;
-            ps_domains =
-              Hashtbl.fold (fun k v acc -> (k, v) :: acc) domains []
-              |> List.sort compare;
-          })
-    (stored_traces rep)
-
 (** The report's results as one OpenMetrics document:
     [tkr_bench_wall_ns_per_run{suite,test}] and [tkr_bench_runs] gauges,
     plus one [tkr_bench_counter{suite,test,counter}] gauge per recorded
     operator/GC counter.  Environment metadata rides along as an
-    info-style gauge.  When the report stores operator traces with pool
-    attribution, [tkr_bench_par{query,stat}] and
-    [tkr_bench_par_domain_chunks{query,domain}] gauges are appended. *)
+    info-style gauge. *)
 let to_openmetrics (rep : Bench_result.report) : string =
   let labels (r : Bench_result.result) =
     [ ("suite", r.suite); ("test", r.name) ]
   in
   let env = rep.env in
-  let pool = par_stats rep in
-  let pool_families =
-    if pool = [] then []
-    else
-      [
-        Openmetrics.gauge
-          ~help:"work-stealing pool counters from stored operator traces"
-          "tkr_bench_par"
-          (List.concat_map
-             (fun ps ->
-               List.map
-                 (fun (stat, v) ->
-                   ([ ("query", ps.ps_query); ("stat", stat) ], float_of_int v))
-                 [
-                   ("jobs", ps.ps_jobs);
-                   ("chunks", ps.ps_chunks);
-                   ("steals", ps.ps_steals);
-                   ("merge_ns", ps.ps_merge_ns);
-                 ])
-             pool);
-        Openmetrics.gauge ~help:"chunks executed per pool domain"
-          "tkr_bench_par_domain_chunks"
-          (List.concat_map
-             (fun ps ->
-               List.map
-                 (fun (slot, chunks) ->
-                   ( [
-                       ("query", ps.ps_query);
-                       ("domain", string_of_int slot);
-                     ],
-                     float_of_int chunks ))
-                 ps.ps_domains)
-             pool);
-      ]
-  in
   Openmetrics.document
-    ([
-       Openmetrics.gauge ~help:"benchmark environment" "tkr_bench_env_info"
-         [
-           ( [
-               ("ocaml_version", env.Env.ocaml_version);
-               ("git_sha", env.Env.git_sha);
-               ("hostname", env.Env.hostname);
-               ("os_type", env.Env.os_type);
-               ("source", rep.source);
-             ],
-             1.0 );
-         ];
-       Openmetrics.gauge ~help:"mean wall time per run"
-         "tkr_bench_wall_ns_per_run"
-         (List.map
-            (fun r -> (labels r, r.Bench_result.wall_ns_per_run))
-            rep.results);
-       Openmetrics.gauge ~help:"samples behind the mean" "tkr_bench_runs"
-         (List.map
-            (fun r -> (labels r, float_of_int r.Bench_result.runs))
-            rep.results);
-       Openmetrics.gauge ~help:"operator and GC counters" "tkr_bench_counter"
-         (List.concat_map
-            (fun r ->
-              List.map
-                (fun (k, v) -> (labels r @ [ ("counter", k) ], v))
-                r.Bench_result.counters)
-            rep.results);
-     ]
-    @ pool_families)
+    [
+      Openmetrics.gauge ~help:"benchmark environment" "tkr_bench_env_info"
+        [
+          ( [
+              ("ocaml_version", env.Env.ocaml_version);
+              ("git_sha", env.Env.git_sha);
+              ("hostname", env.Env.hostname);
+              ("os_type", env.Env.os_type);
+              ("source", rep.source);
+            ],
+            1.0 );
+        ];
+      Openmetrics.gauge ~help:"mean wall time per run"
+        "tkr_bench_wall_ns_per_run"
+        (List.map
+           (fun r -> (labels r, r.Bench_result.wall_ns_per_run))
+           rep.results);
+      Openmetrics.gauge ~help:"samples behind the mean" "tkr_bench_runs"
+        (List.map
+           (fun r -> (labels r, float_of_int r.Bench_result.runs))
+           rep.results);
+      Openmetrics.gauge ~help:"operator and GC counters" "tkr_bench_counter"
+        (List.concat_map
+           (fun r ->
+             List.map
+               (fun (k, v) -> (labels r @ [ ("counter", k) ], v))
+               r.Bench_result.counters)
+           rep.results);
+    ]
 
 (** Every stored operator trace as folded stacks, each root prefixed with
     its query name ([query;operator;... <self-ns>]).  Empty when the

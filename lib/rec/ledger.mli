@@ -3,8 +3,10 @@
     A fixed ring of accounting slots, keyed by plan fingerprint (the
     digest of the normalized plan — the same identity the result cache
     and the slow-query log aggregate on).  Each slot accumulates
-    cumulative wall and queue time, GC word deltas, rows returned, cache
-    hits/misses and a latency histogram (p50/p95 via
+    cumulative wall and queue time, GC word deltas (per-domain counts,
+    so they include concurrent requests' allocations unless one request
+    runs at a time), rows returned, cache hits/misses and a latency
+    histogram (p50/p95 via
     {!Tkr_obs.Metrics.histogram_quantile}).
 
     When a new fingerprint arrives and its ring position is occupied, the

@@ -72,7 +72,12 @@ type entry = {
   e_deps : (string * int) list;  (** table-version vector at execution *)
   e_rows_in : int;  (** total cardinality of the dependency tables *)
   e_rows_out : int;
-  e_gc_minor_w : int;  (** GC minor words allocated during the request *)
+  e_gc_minor_w : int;
+      (** GC minor words the server's domain allocated while the request
+          executed.  All server threads share that domain, so this
+          includes other requests' allocations when requests overlap; it
+          is the request's own cost only when one request runs at a
+          time. *)
   e_gc_major_w : int;
   e_digest : string;  (** response digest ({!digest} / {!digest_error}) *)
 }

@@ -106,7 +106,6 @@ type t = {
   g_sessions : Metrics.gauge;
   g_cache_entries : Metrics.gauge;
   g_cache_bytes : Metrics.gauge;
-  g_pool : Metrics.gauge;
   g_uptime : Metrics.gauge;
   (* temporal interval index activity (Tkr_idx.Stats), sampled at
      scrape time like the other levels *)
@@ -435,10 +434,12 @@ let run_one srv (job : job) =
     Int64.to_int (Int64.div (Int64.sub exec_start_ns job.j_enq_ns) 1000L)
   in
   (* allocation attribution: words this domain allocates while the job
-     runs.  Parallel operator segments allocate on pool domains and are
-     not counted — the ledger tracks the serial (worker-side) cost.
-     [Gc.counters] is exact between collections, unlike [quick_stat],
-     whose word counts only advance at a minor collection. *)
+     runs.  [Gc.counters] is per domain, and every reader and worker
+     thread shares this one domain, so the delta also counts whatever
+     other threads allocate meanwhile; it is the request's own cost only
+     when one request runs at a time.  [Gc.counters] is exact between
+     collections, unlike [quick_stat], whose word counts only advance at
+     a minor collection. *)
   let minor0, _, major0 = Gc.counters () in
   (if Tel.enabled tel then
      match job.j_trace with
@@ -561,7 +562,6 @@ let sync_gauges srv =
   let cs = Cache.stats srv.cache in
   Metrics.set srv.g_cache_entries cs.Cache.entries;
   Metrics.set srv.g_cache_bytes cs.Cache.bytes;
-  Metrics.set srv.g_pool (Middleware.parallelism srv.mw);
   Metrics.set srv.g_uptime (uptime_s srv);
   let i = Tkr_idx.Stats.snapshot () in
   Metrics.set srv.g_idx_built i.Tkr_idx.Stats.s_built;
@@ -625,7 +625,6 @@ let stats_json srv : Json.t =
       ("sessions", Json.Int (Metrics.gauge_value srv.g_sessions));
       ("queue_depth", Json.Int (Metrics.gauge_value srv.g_queue));
       ("inflight", Json.Int (Metrics.gauge_value srv.g_inflight));
-      ("pool_domains", Json.Int (Metrics.gauge_value srv.g_pool));
       ( "latency_us",
         Json.Obj
           [
@@ -861,7 +860,6 @@ let start ?(config = default_config) ?(tel = Tel.disabled)
       g_sessions = Metrics.gauge reg "serve_sessions";
       g_cache_entries = Metrics.gauge reg "serve_cache_entries";
       g_cache_bytes = Metrics.gauge reg "serve_cache_bytes";
-      g_pool = Metrics.gauge reg "serve_pool_domains";
       g_uptime = Metrics.gauge reg "uptime_seconds";
       g_idx_built = Metrics.gauge reg "tkr_idx_built";
       g_idx_rebuilds = Metrics.gauge reg "tkr_idx_rebuilds";

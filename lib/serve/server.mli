@@ -5,9 +5,9 @@
     {!Session} (prepared statements cached per statement text and
     revalidated against {!Tkr_middleware.Middleware.epoch}, so DDL/DML
     transparently re-prepares); queries execute on the shared,
-    thread-safe {!Tkr_middleware.Middleware} — the pool of domains inside
-    the middleware provides CPU parallelism, the worker threads provide
-    request concurrency and IO overlap.
+    thread-safe {!Tkr_middleware.Middleware}.  All threads share one
+    domain: the worker threads provide request concurrency and IO
+    overlap, but queries never run on more than one core at a time.
 
     Requests of one session execute one at a time, in arrival order: at
     most one job per session enters the admission queue, and requests

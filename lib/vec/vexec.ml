@@ -18,10 +18,7 @@
     Operators the vectorized engine does not (or is asked not to) handle
     natively cross the batch↔row boundary: the subtree is delegated to
     [Exec.eval] and its table re-imported with {!Batch.of_table}.  The
-    [force_row] hook exposes that boundary for differential tests.
-
-    Execution is serial: results do not depend on a worker pool, so
-    [--jobs N] trivially reproduces the same bytes. *)
+    [force_row] hook exposes that boundary for differential tests. *)
 
 open Tkr_relation
 module Table = Tkr_engine.Table

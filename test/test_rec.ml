@@ -247,11 +247,7 @@ let with_rec_server ?(cache_mb = 16) ?tel ?recorder f =
         }
       ?tel ?recorder m
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop srv;
-      M.shutdown m)
-    (fun () -> f m srv)
+  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f m srv)
 
 (* four per-session programs over shared tables: DML on [kv] interleaved
    with catalog queries and a repeated SELECT so the cache sees hits.
@@ -465,7 +461,7 @@ let test_console_zero_window () =
       [
         "tkr top — h:7      up 0s";
         "requests  0   (- req/s)   errors 0   busy 0   deadline 0";
-        "sessions  0   queue 0   inflight 0   pool domains 0";
+        "sessions  0   queue 0   inflight 0";
         "latency   p50 0 us   p95 0 us   p99 0 us   (0 samples)";
         "cache     hit 0.0%   entries 0   0.0/0.0 MiB   evictions 0   \
          invalidations 0";

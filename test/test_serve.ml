@@ -396,11 +396,7 @@ let with_server ?(cache_mb = 16) ?(tel = Tel.disabled) f =
         }
       ~tel m
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop srv;
-      M.shutdown m)
-    (fun () -> f m srv)
+  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f m srv)
 
 let render = function
   | M.Rows t -> Table.to_text ~max_rows:1000 t
@@ -582,7 +578,7 @@ let test_e2e_session_limit () =
       ~config:{ Server.default_config with port = 0; max_sessions = 1 }
       m
   in
-  Fun.protect ~finally:(fun () -> Server.stop srv; M.shutdown m) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
   Client.with_client ~port:(Server.port srv) @@ fun _c1 ->
   match Client.connect ~port:(Server.port srv) () with
   | c2 ->
@@ -602,8 +598,7 @@ let test_e2e_graceful_stop () =
   (match Client.run c "SELECT x FROM g" with
   | _ -> ()
   | exception _ -> () (* connection torn down by drain is fine *));
-  Client.close c;
-  M.shutdown m
+  Client.close c
 
 (* ---- telemetry e2e: every request's log lines carry the trace id the
    response echoed, cache dispositions and invalidations are logged, and
@@ -666,7 +661,6 @@ let test_e2e_telemetry () =
        "serve_sessions 1";
        "serve_cache_entries";
        "serve_cache_bytes";
-       "serve_pool_domains";
        "uptime_seconds";
        "tkr_build_info";
        "tkr_idx_built";

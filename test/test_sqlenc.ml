@@ -159,24 +159,23 @@ let prop_split_preserves_snapshots =
          NP.R.equal (PE.of_table l) (PE.of_table (Ops.split [ 0 ] l r))))
 
 (* the sort-based overlap join agrees with hash join + overlap residual *)
+let overlap_join l r =
+  Tkr_engine.Interval_join.overlap_join ~left_keys:[ 0 ] ~right_keys:[ 0 ] l r
+
+let interval_join_agrees l r =
+  let pred =
+    Expr.(
+      And
+        ( Cmp (Eq, Col 0, Col 3),
+          And (Cmp (Lt, Col 1, Col 5), Cmp (Lt, Col 4, Col 2)) ))
+  in
+  Table.equal_bag (overlap_join l r) (Exec.join pred l r)
+
 let prop_interval_join =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300 ~name:"interval join = hash join + residual"
        (QCheck.pair table_arb table_arb) (fun (l, r) ->
-         let via_sweep =
-           Tkr_engine.Interval_join.overlap_join ~left_keys:[ 0 ]
-             ~right_keys:[ 0 ] l r
-         in
-         let pred =
-           Expr.(
-             And
-               ( Cmp (Eq, Col 0, Col 3),
-                 And
-                   ( Cmp (Lt, Col 1, Col 5),
-                     Cmp (Lt, Col 4, Col 2) ) ))
-         in
-         let via_hash = Exec.join pred l r in
-         Table.equal_bag via_sweep via_hash))
+         interval_join_agrees l r))
 
 (* direct operator-level check: the fused split+aggregate equals the
    logical Def. 7.1 aggregation, on tables with an integer data column so
